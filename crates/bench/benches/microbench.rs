@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the core data structures: the pieces on
 //! the simulator's hot path (event queue, LRU, queueing resources) and the
-//! real dataplane's hot path (MOF encode/decode, k-way merge).
+//! real dataplane's hot path (MOF encode/decode, k-way merge, CRC32C).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use jbs_des::{DetRng, EventQueue, LruCache, SimTime};
 use jbs_des::server::FifoServer;
 use jbs_disk::PageCache;
@@ -174,6 +174,23 @@ fn bench_merge(c: &mut Criterion) {
     g.finish();
 }
 
+/// The integrity checksum at a small frame, a page, and the default
+/// 128 KiB chunk, through the public entry point (hardware kernel where
+/// the CPU has SSE4.2, slice-by-8 otherwise).
+fn bench_crc32c(c: &mut Criterion) {
+    let mut g = c.benchmark_group("crc32c");
+    let mut rng = DetRng::new(5);
+    let data: Vec<u8> = (0..128 << 10)
+        .map(|_| rng.uniform_u64(0, 256) as u8)
+        .collect();
+    for (id, len) in [("64B", 64usize), ("4KiB", 4 << 10), ("128KiB", 128 << 10)] {
+        g.throughput(Throughput::Bytes(len as u64));
+        let bytes = &data[..len];
+        g.bench_function(id, |b| b.iter(|| jbs_checksum::crc32c(black_box(bytes))));
+    }
+    g.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -185,6 +202,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_event_queue, bench_lru, bench_fifo_server, bench_page_cache,
-              bench_gc_model, bench_mof_format, bench_merge
+              bench_gc_model, bench_mof_format, bench_merge, bench_crc32c
 }
 criterion_main!(benches);

@@ -228,15 +228,19 @@ pub(crate) struct ManifestScan {
     pub(crate) torn: bool,
 }
 
-/// Read a manifest, stopping at the first frame that is short, oversize,
-/// CRC-mismatched, or undecodable — the torn-tail rule. A missing file
-/// scans as empty and clean.
+/// Read a manifest and [`scan_bytes`] it. A missing file scans as empty
+/// and clean.
 pub(crate) fn scan(path: &Path) -> io::Result<ManifestScan> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
+    match fs::read(path) {
+        Ok(bytes) => Ok(scan_bytes(&bytes)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(scan_bytes(&[])),
+        Err(e) => Err(e),
+    }
+}
+
+/// Parse manifest bytes, stopping at the first frame that is short,
+/// oversize, CRC-mismatched, or undecodable — the torn-tail rule.
+pub(crate) fn scan_bytes(bytes: &[u8]) -> ManifestScan {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while let Some(header) = bytes.get(pos..pos + 8) {
@@ -265,16 +269,17 @@ pub(crate) fn scan(path: &Path) -> io::Result<ManifestScan> {
         records.push(rec);
         pos += 8 + len;
     }
-    Ok(ManifestScan {
+    ManifestScan {
         records,
         valid_len: pos as u64,
         torn: pos < bytes.len(),
-    })
+    }
 }
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Vec<Record> {
         vec![
@@ -368,5 +373,91 @@ mod tests {
         assert!(s.records.is_empty());
         assert_eq!(s.valid_len, 0);
         assert!(!s.torn);
+    }
+
+    /// Any record, with every field drawn from its whole domain.
+    fn arb_record() -> impl Strategy<Value = Record> {
+        (
+            0u8..3,
+            any::<u64>(),
+            any::<u32>(),
+            any::<u64>(),
+            any::<u64>(),
+            (any::<u64>(), any::<u32>()),
+        )
+            .prop_map(|(kind, mof, reducer, a, b, (c, data_crc))| match kind {
+                0 => Record::Extent {
+                    mof,
+                    reducer,
+                    offset: a,
+                    len: b,
+                    file_off: c,
+                    data_crc,
+                },
+                1 => Record::RemoteMoved {
+                    mof,
+                    reducer,
+                    total: a,
+                },
+                _ => Record::ReplicaDropped { mof, reducer },
+            })
+    }
+
+    /// The invariants every scan result holds: the valid prefix is in
+    /// bounds, `torn` says whether bytes follow it, and re-scanning just
+    /// the valid prefix is clean and yields the same records.
+    fn assert_scan_invariants(bytes: &[u8]) -> ManifestScan {
+        let s = scan_bytes(bytes);
+        assert!(s.valid_len <= bytes.len() as u64);
+        assert_eq!(s.torn, s.valid_len < bytes.len() as u64);
+        let again = scan_bytes(&bytes[..s.valid_len as usize]);
+        assert!(!again.torn);
+        assert_eq!(again.valid_len, s.valid_len);
+        assert_eq!(again.records, s.records);
+        s
+    }
+
+    proptest! {
+        /// Arbitrary bytes never panic the decoder.
+        #[test]
+        fn scan_of_arbitrary_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+            assert_scan_invariants(&bytes);
+        }
+
+        /// Frames whose CRC matches an arbitrary payload (so the record
+        /// decoder, not just the framing, sees hostile bytes), including
+        /// lengths past `MAX_PAYLOAD`, never panic and decode only as
+        /// records that re-encode to the same payload.
+        #[test]
+        fn crc_valid_frames_of_arbitrary_payloads_never_panic(
+            payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..80), 0..6),
+        ) {
+            let mut bytes = Vec::new();
+            for p in &payloads {
+                bytes.extend_from_slice(&(p.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(&crc32c(p).to_le_bytes());
+                bytes.extend_from_slice(p);
+            }
+            let s = assert_scan_invariants(&bytes);
+            for (rec, p) in s.records.iter().zip(&payloads) {
+                prop_assert_eq!(&rec.encode(), p);
+            }
+        }
+
+        /// Valid frames followed by arbitrary garbage still yield every
+        /// valid record, in order.
+        #[test]
+        fn valid_frames_survive_trailing_garbage(
+            recs in prop::collection::vec(arb_record(), 0..8),
+            garbage in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let mut bytes: Vec<u8> = recs.iter().flat_map(frame_of).collect();
+            let frames_len = bytes.len();
+            bytes.extend_from_slice(&garbage);
+            let s = assert_scan_invariants(&bytes);
+            prop_assert!(s.records.len() >= recs.len());
+            prop_assert_eq!(&s.records[..recs.len()], &recs[..]);
+            prop_assert!(s.valid_len >= frames_len as u64);
+        }
     }
 }
