@@ -7,7 +7,10 @@
 //!   numbers) and never tears a span pair, because spans are recorded as
 //!   one event on close;
 //! * JSONL export round-trips through the parser for arbitrary events,
-//!   including hostile names that need escaping.
+//!   including hostile names that need escaping;
+//! * the JSONL parser never panics on untrusted text — arbitrary bytes,
+//!   JSON-shaped noise, or a valid export with a damaged span — it
+//!   returns `Ok` or `Err`.
 
 use jbs_obs::{jsonl, Entity, EntityKind, Event, EventKind, ManualClock, Trace, TraceQuery};
 use proptest::prelude::*;
@@ -39,6 +42,17 @@ fn run_script(cap: usize, script: &[bool]) -> (Vec<Event>, u64, u64) {
     }
     let open = trace.open_spans();
     (trace.snapshot(), trace.dropped(), open)
+}
+
+/// JSON-shaped characters: structure, quotes and escapes, digits, the
+/// letters of the schema's keywords, whitespace, and non-ASCII.
+const JSONISH: &[char] = &[
+    '{', '}', '[', ']', '"', ':', ',', '\\', 'u', 'n', 't', 'e', 's', 'q', '0', '1', '9', '-', '.',
+    ' ', '\n', '\r', '\t', '\u{0}', 'é', '\u{1F600}',
+];
+
+fn jsonish(chars: &[usize]) -> String {
+    chars.iter().filter_map(|&i| JSONISH.get(i)).collect()
 }
 
 proptest! {
@@ -197,5 +211,49 @@ proptest! {
         let expect_overlap = rmask.iter().zip(&xmask).filter(|(&r, &x)| r && x).count() as u64;
         prop_assert_eq!(q.union_nanos("read"), expect_union);
         prop_assert_eq!(q.overlap_nanos("read", "xmit"), expect_overlap);
+    }
+
+    /// Parsing arbitrary text never panics: lossy-decoded random bytes
+    /// and JSON-shaped noise both come back as `Ok` or `Err`.
+    #[test]
+    fn parse_jsonl_never_panics_on_arbitrary_text(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        shaped in prop::collection::vec(0..JSONISH.len(), 0..256),
+    ) {
+        let lossy = String::from_utf8_lossy(&bytes).into_owned();
+        for text in [lossy, jsonish(&shaped)] {
+            prop_assert!(matches!(jsonl::parse_jsonl(&text), Ok(_) | Err(_)));
+        }
+    }
+
+    /// A valid export with one span replaced by JSON-shaped noise (a
+    /// torn or tampered trace file) parses to `Ok` or `Err`, never a
+    /// panic — the damage lands inside numbers, keys and strings.
+    #[test]
+    fn parse_jsonl_never_panics_on_damaged_export(
+        seq in any::<u64>(),
+        t in any::<u64>(),
+        a in any::<u64>(),
+        from in 0usize..160,
+        span in 0usize..16,
+        patch in prop::collection::vec(0..JSONISH.len(), 0..12),
+    ) {
+        let e = Event {
+            seq,
+            t,
+            end: t,
+            kind: EventKind::Instant,
+            thread: 0,
+            entity: Entity::mof(seq),
+            name: Cow::Borrowed("disk.read"),
+            a,
+            b: 0,
+        };
+        let mut text = jsonl::to_jsonl(&[e.clone(), e]);
+        // The export is ASCII, so every byte offset is a char boundary.
+        let lo = from.min(text.len());
+        let hi = (lo + span).min(text.len());
+        text.replace_range(lo..hi, &jsonish(&patch));
+        prop_assert!(matches!(jsonl::parse_jsonl(&text), Ok(_) | Err(_)));
     }
 }

@@ -17,14 +17,15 @@
 //!   syscall — the payload bytes are never copied between the slab and
 //!   the socket, and the lease pins the buffer against recycling for
 //!   exactly as long as partial writes keep it in flight;
-//! * **no blocking in the loop**: every disk, hybrid-store, or index
-//!   touch is shipped to the permit-bounded disk-worker pool through
-//!   the same grouped prefetch queue the threaded server uses (Fig. 5
-//!   discipline preserved), and the finished frame comes back through a
+//! * **no blocking in the loop**: every disk or hybrid-store read is
+//!   shipped to the permit-bounded disk-worker pool through the same
+//!   grouped prefetch queue the threaded server uses (Fig. 5 discipline
+//!   preserved), and the finished frame comes back through a
 //!   [`CompletionQueue`] plus a [`Waker`] byte. The reactor itself only
-//!   ever does nonblocking socket I/O and lock-free-short map touches —
-//!   a rule `cargo xtask analyze` enforces (`nonblocking_context`): no
-//!   blocking primitive may be *reachable* from this file at all.
+//!   ever does nonblocking socket I/O and short map touches (a v3 hit's
+//!   segment length is an in-memory index lookup) — a rule
+//!   `cargo xtask analyze` enforces (`nonblocking_context`): no blocking
+//!   primitive may be *reachable* from this file at all.
 //!
 //! Responses go out strictly in request order per connection (the wire
 //! contract): completions arriving out of order — the disk thread
@@ -41,7 +42,7 @@ use crate::bufpool::Lease;
 use crate::faults::{self, FaultAction, Hook};
 use crate::poll::{sys_poll, PollFd, Waker, POLLIN, POLLOUT};
 use crate::prefetch::{Reply, StageJob};
-use crate::server::{release, Shared};
+use crate::server::{release, route_direct, segment_len, Shared};
 use crate::sync::{lock, Mutex};
 use crate::wire::{
     self, FetchRequest, Status, WireVersion, REQUEST_LEN, REQUEST_LEN_V3, REQUEST_MAGIC,
@@ -117,22 +118,29 @@ impl OutResp {
     }
 }
 
-/// Build a served-bytes response in the request's dialect, applying the
-/// post-checksum payload faults exactly like the threaded path: the CRC
-/// is computed *before* a `CorruptPayload` flip (only end-to-end
-/// verification can catch the damage), and `CleanEof` rewrites the
-/// frame to a clean empty chunk.
-#[allow(clippy::too_many_arguments)]
+/// Build a response serving `lease[range]` zero-copy in the request's
+/// dialect (v3 seals it with the CRC and the segment's total length),
+/// applying the post-checksum payload faults exactly like the threaded
+/// path: the CRC is computed *before* a `CorruptPayload` flip (only
+/// end-to-end verification can catch the damage), and `CleanEof`
+/// rewrites the frame to a clean empty chunk.
 pub(crate) fn build_ok(
     shared: &Shared,
     id: u64,
     version: WireVersion,
-    seg_len: Option<u64>,
+    (mof, reducer): (u64, u32),
+    offset: u64,
     lease: Lease,
     range: Range<usize>,
-    mof: u64,
-    offset: u64,
 ) -> OutResp {
+    shared
+        .stats
+        .zerocopy_bytes
+        .fetch_add(range.len() as u64, Ordering::Relaxed);
+    let seg_len = match version {
+        WireVersion::V2 => None,
+        WireVersion::V3 => segment_len(shared, mof, reducer),
+    };
     let (status, mut crc_seg) = {
         let window = lease.as_slice().get(range.clone()).unwrap_or_default();
         match (version, seg_len) {
@@ -325,11 +333,10 @@ pub(crate) enum JobKind {
     /// Read-ahead + stage, serve the request's window zero-copy from
     /// the freshly staged lease (the DataCache miss path).
     Stage,
-    /// Direct store read, DataCache untouched (cache-bypass re-fetch
-    /// and whole-segment requests; `want == 0` reads to segment end).
+    /// One read through [`crate::server::read_segment`], DataCache
+    /// untouched: hybrid-held partitions, cache-bypass re-fetches and
+    /// whole-segment requests (see [`route_direct`]).
     Direct,
-    /// Serve from the attached hybrid store's tiers.
-    Hybrid,
 }
 
 impl JobTicket {
@@ -750,36 +757,10 @@ fn serve_request(
         return ConnEvent::Continue;
     }
 
-    let key = (req.mof, req.reducer);
-
-    // Memory-tier-first: hybrid-held partitions are answered by the
-    // disk thread from the hybrid's tiers (its LOCALFILE extents are
-    // real file I/O — not reactor work). The presence check itself is
-    // lock-only.
-    let hybrid_held = shared
-        .options
-        .hybrid
-        .as_ref()
-        .is_some_and(|h| h.partition_len(req.mof, req.reducer).is_some());
-    if hybrid_held {
-        return dispatch(shared, handle, conn, slot, &req, version, JobKind::Hybrid);
-    }
-
-    // Targeted cache-bypass re-fetch: invalidate, then a direct read.
-    if req.bypass_cache() {
-        drop(shared.staged.invalidate(&key));
-        shared.stats.bypass_reads.fetch_add(1, Ordering::Relaxed);
-        shared.options.trace.instant(
-            "integrity.bypass",
-            Entity::mof(req.mof),
-            req.offset,
-            req.len,
-        );
-        return dispatch(shared, handle, conn, slot, &req, version, JobKind::Direct);
-    }
-
-    // Whole-segment requests bypass staging.
-    if req.len == 0 {
+    // Hybrid-held partitions, bypass re-fetches and whole segments go to
+    // a disk worker for one direct read (the hybrid's LOCALFILE extents
+    // are real file I/O — not reactor work).
+    if route_direct(shared, &req) {
         return dispatch(shared, handle, conn, slot, &req, version, JobKind::Direct);
     }
 
@@ -793,6 +774,7 @@ fn serve_request(
     // almost always covers this request (bursts walk a segment in
     // order), and the disk queue's round-robin would otherwise
     // serialize this cheap cache hit behind other groups' reads.
+    let key = (req.mof, req.reducer);
     if conn.stage_inflight.get(&key).copied().unwrap_or(0) > 0 {
         let seq = conn.next_seq;
         conn.next_seq += 1;
@@ -803,10 +785,8 @@ fn serve_request(
     dispatch(shared, handle, conn, slot, &req, version, JobKind::Stage)
 }
 
-/// Try to serve `req` zero-copy from the DataCache. `None` means the
-/// request needs the disk thread: a miss, or a v3 hit whose segment
-/// length is not cached yet (first touch raced; frames cannot be sealed
-/// without it, and index I/O is not reactor work).
+/// Try to serve `req` zero-copy from the DataCache. `None` means a miss:
+/// the request needs the disk thread.
 fn try_hit(shared: &Shared, req: &FetchRequest, version: WireVersion) -> Option<OutResp> {
     let key = (req.mof, req.reducer);
     let buffer = shared.options.buffer_bytes;
@@ -817,14 +797,6 @@ fn try_hit(shared: &Shared, req: &FetchRequest, version: WireVersion) -> Option<
     };
     let low_water = buffer * shared.options.prefetch_batch / 2;
     let hit = shared.staged.hit_lease(&key, req.offset, want, low_water)?;
-    let seg_len = match version {
-        WireVersion::V2 => None,
-        WireVersion::V3 => {
-            let cached = lock(&shared.seg_lens).get(&key).copied();
-            cached?;
-            cached
-        }
-    };
     shared.stats.datacache_hits.fetch_add(1, Ordering::Relaxed);
     shared
         .options
@@ -833,13 +805,7 @@ fn try_hit(shared: &Shared, req: &FetchRequest, version: WireVersion) -> Option<
     if let Some(next) = hit.stage_next {
         crate::server::queue_run_ahead(shared, req.mof, req.reducer, next);
     }
-    shared
-        .stats
-        .zerocopy_bytes
-        .fetch_add(hit.range.len() as u64, Ordering::Relaxed);
-    Some(build_ok(
-        shared, req.id, version, seg_len, hit.lease, hit.range, req.mof, req.offset,
-    ))
+    Some(build_ok(shared, req.id, version, key, req.offset, hit.lease, hit.range))
 }
 
 /// Re-evaluate requests parked behind a just-finished staging of `key`:

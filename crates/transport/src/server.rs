@@ -3,7 +3,8 @@
 //! One supplier runs per "node". It answers framed [`FetchRequest`]s on
 //! cached connections, and mirrors the paper's server design:
 //!
-//! * an in-memory **IndexCache** (the `MofStore` caches parsed indexes);
+//! * an in-memory **IndexCache** (the `MofStore` parses every index once
+//!   and is immutable from then on, so readers share it without a lock);
 //! * a **DataCache** with grouped read-ahead: a fetch at segment offset
 //!   `o` stages `prefetch_batch` buffers beyond `o` in one file read, so
 //!   consecutive chunk fetches of the same segment are served from memory
@@ -73,7 +74,7 @@ pub struct SupplierStats {
     /// Cache-bypass re-reads served (a client's targeted re-fetch after
     /// a checksum mismatch).
     pub bypass_reads: AtomicU64,
-    /// Requests answered by the attached hybrid store's tiers (memory
+    /// Reads answered by the attached hybrid store's tiers (memory
     /// tail or its own spill/remote extents) instead of the MOF path.
     pub hybrid_hits: AtomicU64,
     /// Reactor poll-loop wakeups (event-loop mode): disk-thread
@@ -116,7 +117,7 @@ pub struct SupplierStatsSnapshot {
     pub busy_rejections: u64,
     /// Cache-bypass re-reads served after client checksum mismatches.
     pub bypass_reads: u64,
-    /// Requests answered by the attached hybrid store's tiers.
+    /// Reads answered by the attached hybrid store's tiers.
     pub hybrid_hits: u64,
     /// Stage jobs currently queued for the disk thread.
     pub prefetch_queue_len: u64,
@@ -225,7 +226,9 @@ impl Default for ServerOptions {
 }
 
 pub(crate) struct Shared {
-    pub(crate) store: Mutex<MofStore>,
+    /// The MOFs this supplier serves; their bytes are read only through
+    /// [`read_segment`].
+    pub(crate) store: MofStore,
     /// DataCache: one staged read-ahead range per (mof, reducer); the
     /// hit/stage logic lives in [`StageCache`], where the `cfg(loom)`
     /// models exercise it.
@@ -247,10 +250,6 @@ pub(crate) struct Shared {
     pub(crate) active_conns: AtomicU64,
     /// Connections currently being served, per peer IP (admission).
     pub(crate) conns_per_peer: Mutex<HashMap<IpAddr, u64>>,
-    /// Total segment lengths, cached off the store index so v3 `OkCrc`
-    /// replies don't pay an index lock per chunk. Never held together
-    /// with any other lock.
-    pub(crate) seg_lens: Mutex<HashMap<(u64, u32), u64>>,
     pub(crate) options: ServerOptions,
 }
 
@@ -326,7 +325,7 @@ impl MofSupplierServer {
             )),
         };
         let shared = Arc::new(Shared {
-            store: Mutex::new(store),
+            store,
             staged: StageCache::new(),
             // Enough idle buffers for every connection thread plus the
             // disk thread to hold one in flight.
@@ -339,7 +338,6 @@ impl MofSupplierServer {
             draining: AtomicBool::new(false),
             active_conns: AtomicU64::new(0),
             conns_per_peer: Mutex::new(HashMap::new()),
-            seg_lens: Mutex::new(HashMap::new()),
             options: ServerOptions {
                 buffer_bytes: options.buffer_bytes.max(1),
                 prefetch_batch: options.prefetch_batch.max(1),
@@ -848,35 +846,20 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     Ok(())
 }
 
-/// Total length of one reducer's segment, from the per-supplier cache
-/// or (on first touch) the store's index. `None` for an unknown
-/// MOF/reducer. The two locks are taken strictly in sequence, never
-/// nested.
+/// Total length of one reducer's segment: the hybrid store's live
+/// length if it holds the partition, else the MOF index entry (an
+/// in-memory lookup). `None` for an unknown MOF/reducer.
 pub(crate) fn segment_len(shared: &Shared, mof: u64, reducer: u32) -> Option<u64> {
-    // Hybrid partitions first, and never through the cache: their
-    // length grows with every append, so a cached value would go stale
-    // and poison the v3 seg_len accounting.
-    if let Some(hybrid) = &shared.options.hybrid {
-        if let Some(len) = hybrid.partition_len(mof, reducer) {
-            return Some(len);
-        }
-    }
-    let key = (mof, reducer);
+    if let Some(len) = shared
+        .options
+        .hybrid
+        .as_ref()
+        .and_then(|h| h.partition_len(mof, reducer))
     {
-        let cache = lock(&shared.seg_lens);
-        if let Some(&len) = cache.get(&key) {
-            return Some(len);
-        }
+        return Some(len);
     }
-    let len = {
-        let mut store = lock(&shared.store);
-        match store.index(mof) {
-            Ok(ix) => ix.entry(reducer as usize).map(|e| e.part_len),
-            Err(_) => None,
-        }
-    }?;
-    lock(&shared.seg_lens).insert(key, len);
-    Some(len)
+    let entry = shared.store.index(mof).ok()?.entry(reducer as usize)?;
+    Some(entry.part_len)
 }
 
 /// Wrap served bytes in the dialect the request arrived in: v3 gets an
@@ -904,10 +887,65 @@ fn finish_ok(shared: &Shared, req: &FetchRequest, version: WireVersion, payload:
     }
 }
 
-/// One grouped read-ahead from the store: `prefetch_batch` buffers
-/// starting at `offset`, charged the synthetic disk delay. Returns the
-/// bytes plus whether they reach the segment's end; `None` for an
-/// unknown MOF/reducer.
+/// What one [`read_segment`] is for; it sets how many bytes are read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReadFor {
+    /// A grouped read-ahead of `prefetch_batch` buffers: the traced disk
+    /// pass, charged the synthetic disk delay.
+    Stage,
+    /// A peer's request for `len` bytes, clamped to one transport
+    /// buffer; `len == 0` asks for the rest of the segment.
+    Request(u64),
+}
+
+/// The supplier's one read route. A partition the hybrid store holds is
+/// answered from its tiers (no permit, no delay); anything else —
+/// including a partition that drained out of the hybrid store since the
+/// caller looked — is read from the MOF store under an
+/// [`IoClass::Read`] permit, arbitrating against spill-flush appends.
+/// `None` for an unknown MOF/reducer.
+pub(crate) fn read_segment(
+    shared: &Shared,
+    mof: u64,
+    reducer: u32,
+    offset: u64,
+    read: ReadFor,
+) -> io::Result<Option<Vec<u8>>> {
+    let buffer = shared.options.buffer_bytes;
+    let len = match read {
+        ReadFor::Stage => buffer * shared.options.prefetch_batch,
+        ReadFor::Request(len) => len.min(buffer),
+    };
+    if let Some(hybrid) = &shared.options.hybrid {
+        if let Some(bytes) = hybrid.read_segment_range(mof, reducer, offset, len)? {
+            shared.stats.hybrid_hits.fetch_add(1, Ordering::Relaxed);
+            shared
+                .options
+                .trace
+                .instant("hybrid.hit", Entity::mof(mof), offset, bytes.len() as u64);
+            return Ok(Some(bytes));
+        }
+    }
+    let _permit = shared.iosched.acquire(IoClass::Read);
+    // A read-ahead is the disk pass the trace times. The synthetic
+    // latency models the device, so it runs under the permit too.
+    let _read_span = (read == ReadFor::Stage).then(|| {
+        let span = shared
+            .options
+            .trace
+            .span("disk.read", Entity::mof(mof), offset, len);
+        let delay = shared.options.synthetic_disk_delay;
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+        span
+    });
+    shared.store.read_segment_range(mof, reducer, offset, len)
+}
+
+/// One grouped read-ahead: `prefetch_batch` buffers starting at
+/// `offset`. Returns the bytes plus whether they reach the segment's
+/// end; `None` for an unknown MOF/reducer.
 fn read_ahead(
     shared: &Shared,
     mof: u64,
@@ -915,34 +953,37 @@ fn read_ahead(
     offset: u64,
 ) -> io::Result<Option<(Vec<u8>, bool)>> {
     let ahead = shared.options.buffer_bytes * shared.options.prefetch_batch;
-    // Memory tier before disk, on the stage path too: a hybrid-held
-    // partition never costs a disk pass (or the synthetic delay).
-    if let Some(hybrid) = &shared.options.hybrid {
-        if let Some(bytes) = hybrid.read_segment_range(mof, reducer, offset, ahead)? {
-            let at_end = (bytes.len() as u64) < ahead;
-            return Ok(Some((bytes, at_end)));
-        }
-    }
-    // The disk pass proper: take a Read permit first (arbitrating
-    // against spill-flush appends), then the timed read. The synthetic
-    // latency models the device, so it runs under the permit too.
-    let _permit = shared.iosched.acquire(IoClass::Read);
-    let _read_span = shared
-        .options
-        .trace
-        .span("disk.read", Entity::mof(mof), offset, ahead);
-    let delay = shared.options.synthetic_disk_delay;
-    if !delay.is_zero() {
-        std::thread::sleep(delay);
-    }
-    let read = {
-        let mut store = lock(&shared.store);
-        store.read_segment_range(mof, reducer, offset, ahead)?
-    };
+    let read = read_segment(shared, mof, reducer, offset, ReadFor::Stage)?;
     Ok(read.map(|bytes| {
         let at_end = (bytes.len() as u64) < ahead;
         (bytes, at_end)
     }))
+}
+
+/// Route `req` past the DataCache: `true` means it takes one direct
+/// [`read_segment`]. That is a hybrid-held partition (its tiers answer,
+/// and their bytes are always fresh), a targeted cache-bypass re-fetch,
+/// or a whole-segment request. A bypass re-fetch follows a client-side
+/// checksum mismatch, so the staged range for its key is suspect: it is
+/// dropped here, and poisoned DataCache bytes are never served twice.
+pub(crate) fn route_direct(shared: &Shared, req: &FetchRequest) -> bool {
+    if let Some(hybrid) = &shared.options.hybrid {
+        if hybrid.partition_len(req.mof, req.reducer).is_some() {
+            return true;
+        }
+    }
+    if req.bypass_cache() {
+        // Dropping the invalidated lease recycles its buffer once no
+        // in-flight transmit still pins it.
+        drop(shared.staged.invalidate(&(req.mof, req.reducer)));
+        shared.stats.bypass_reads.fetch_add(1, Ordering::Relaxed);
+        shared
+            .options
+            .trace
+            .instant("integrity.bypass", Entity::mof(req.mof), req.offset, req.len);
+        return true;
+    }
+    req.len == 0
 }
 
 /// One disk worker: pop stage jobs (round-robin across MOF groups,
@@ -1043,45 +1084,6 @@ fn run_stage_job(shared: &Shared, job: StageJob) {
     }
 }
 
-/// A direct (DataCache-free) store read framed for the reactor: the
-/// cache-bypass re-fetch, the whole-segment request, and the fallback
-/// when a hybrid partition drains mid-flight.
-fn direct_read_resp(
-    shared: &Shared,
-    id: u64,
-    version: WireVersion,
-    mof: u64,
-    reducer: u32,
-    offset: u64,
-    want_raw: u64,
-) -> reactor::OutResp {
-    let read = {
-        let _permit = shared.iosched.acquire(IoClass::Read);
-        let mut store = lock(&shared.store);
-        store.read_segment_range(mof, reducer, offset, want_raw)
-    };
-    match read {
-        Ok(Some(bytes)) => {
-            let seg_len = match version {
-                WireVersion::V2 => None,
-                WireVersion::V3 => segment_len(shared, mof, reducer),
-            };
-            let lease = shared.pool.lease(bytes);
-            let range = 0..lease.len();
-            shared
-                .stats
-                .zerocopy_bytes
-                .fetch_add(range.len() as u64, Ordering::Relaxed);
-            reactor::build_ok(shared, id, version, seg_len, lease, range, mof, offset)
-        }
-        Ok(None) => reactor::build_error(id, Status::NotFound, mof, offset),
-        Err(_) => reactor::build_error(id, Status::BadRequest, mof, offset),
-    }
-}
-
-/// Finish a reactor-dispatched request on the disk thread: do the IO
-/// its [`JobKind`] calls for, frame the complete response, and deliver
-/// it to the owning reactor's completion queue.
 /// Queue an async run-ahead stage for `(mof, reducer)` starting at
 /// `next`, waking the disk thread. Used by every hit path that notices
 /// the staged range running low (the pull half of Fig. 5 pipelining).
@@ -1101,6 +1103,9 @@ pub(crate) fn queue_run_ahead(shared: &Shared, mof: u64, reducer: u32, next: u64
     }
 }
 
+/// Finish a reactor-dispatched request on the disk thread: do the IO
+/// its [`JobKind`] calls for, frame the complete response, and deliver
+/// it to the owning reactor's completion queue.
 fn run_reactor_job(
     shared: &Shared,
     ticket: crate::reactor::JobTicket,
@@ -1115,12 +1120,8 @@ fn run_reactor_job(
     } else {
         want_raw.min(shared.options.buffer_bytes)
     };
-    let (id, version, kind) = (ticket.id, ticket.version, ticket.kind);
-    let seg_len_for = |version: WireVersion| match version {
-        WireVersion::V2 => None,
-        WireVersion::V3 => segment_len(shared, mof, reducer),
-    };
-    let resp = match kind {
+    let (id, version) = (ticket.id, ticket.version);
+    let resp = match ticket.kind {
         JobKind::Stage => {
             // An async run-ahead may have staged this range while the
             // job sat queued: serve the overtaken request zero-copy.
@@ -1138,12 +1139,7 @@ fn run_reactor_job(
                 if let Some(next) = hit.stage_next {
                     queue_run_ahead(shared, mof, reducer, next);
                 }
-                let seg_len = seg_len_for(version);
-                shared
-                    .stats
-                    .zerocopy_bytes
-                    .fetch_add(hit.range.len() as u64, Ordering::Relaxed);
-                reactor::build_ok(shared, id, version, seg_len, hit.lease, hit.range, mof, offset)
+                reactor::build_ok(shared, id, version, key, offset, hit.lease, hit.range)
             } else {
                 match read_ahead(shared, mof, reducer, offset) {
                     Ok(Some((bytes, at_end))) => {
@@ -1163,85 +1159,26 @@ fn run_reactor_job(
                         if !at_end {
                             queue_run_ahead(shared, mof, reducer, offset + staged);
                         }
-                        let seg_len = seg_len_for(version);
-                        shared
-                            .stats
-                            .zerocopy_bytes
-                            .fetch_add(hi as u64, Ordering::Relaxed);
-                        reactor::build_ok(shared, id, version, seg_len, lease, 0..hi, mof, offset)
+                        reactor::build_ok(shared, id, version, key, offset, lease, 0..hi)
                     }
                     Ok(None) => reactor::build_error(id, Status::NotFound, mof, offset),
                     Err(_) => reactor::build_error(id, Status::BadRequest, mof, offset),
                 }
             }
         }
-        JobKind::Direct => direct_read_resp(shared, id, version, mof, reducer, offset, want_raw),
-        JobKind::Hybrid => {
-            let len = if want_raw == 0 { 0 } else { clamped };
-            let read = shared
-                .options
-                .hybrid
-                .as_ref()
-                .map(|h| h.read_segment_range(mof, reducer, offset, len));
-            match read {
-                Some(Ok(Some(bytes))) => {
-                    shared.stats.hybrid_hits.fetch_add(1, Ordering::Relaxed);
-                    shared.options.trace.instant(
-                        "hybrid.hit",
-                        Entity::mof(mof),
-                        offset,
-                        bytes.len() as u64,
-                    );
-                    // `segment_len` checks the hybrid store first, so a
-                    // v3 seg_len here is the partition's live length.
-                    let seg_len = seg_len_for(version);
+        JobKind::Direct => {
+            match read_segment(shared, mof, reducer, offset, ReadFor::Request(want_raw)) {
+                Ok(Some(bytes)) => {
                     let lease = shared.pool.lease(bytes);
                     let range = 0..lease.len();
-                    shared
-                        .stats
-                        .zerocopy_bytes
-                        .fetch_add(range.len() as u64, Ordering::Relaxed);
-                    reactor::build_ok(shared, id, version, seg_len, lease, range, mof, offset)
+                    reactor::build_ok(shared, id, version, key, offset, lease, range)
                 }
-                // The partition drained (e.g. to REMOTE) between the
-                // reactor's presence check and this read: fall back to
-                // the MOF store like any non-hybrid key.
-                Some(Ok(None)) | None => {
-                    direct_read_resp(shared, id, version, mof, reducer, offset, want_raw)
-                }
-                Some(Err(_)) => reactor::build_error(id, Status::BadRequest, mof, offset),
+                Ok(None) => reactor::build_error(id, Status::NotFound, mof, offset),
+                Err(_) => reactor::build_error(id, Status::BadRequest, mof, offset),
             }
         }
     };
     ticket.deliver(resp);
-}
-
-/// Memory-tier-first serving: if a hybrid store is attached and knows
-/// this partition, answer from its tiers (no DataCache, no disk-thread
-/// stage). `None` means the key is not hybrid-held — fall through to
-/// the MOF path.
-fn serve_hybrid(
-    shared: &Shared,
-    req: &FetchRequest,
-    version: WireVersion,
-    want: u64,
-) -> Option<FetchResponse> {
-    let hybrid = shared.options.hybrid.as_ref()?;
-    let len = if req.len == 0 { 0 } else { want };
-    match hybrid.read_segment_range(req.mof, req.reducer, req.offset, len) {
-        Ok(Some(bytes)) => {
-            shared.stats.hybrid_hits.fetch_add(1, Ordering::Relaxed);
-            shared.options.trace.instant(
-                "hybrid.hit",
-                Entity::mof(req.mof),
-                req.offset,
-                bytes.len() as u64,
-            );
-            Some(finish_ok(shared, req, version, bytes))
-        }
-        Ok(None) => None,
-        Err(_) => Some(FetchResponse::error(req.id, Status::BadRequest)),
-    }
 }
 
 /// Serve one request through the DataCache read-ahead.
@@ -1253,48 +1190,11 @@ fn serve(shared: &Shared, req: FetchRequest, version: WireVersion) -> FetchRespo
     };
     let key = (req.mof, req.reducer);
 
-    // Memory-tier-first: a partition living in the hybrid store is
-    // answered by its tiers directly — hot tails straight from memory,
-    // spilled extents from its own files. Those keys never enter the
-    // DataCache or the disk thread's queue, and the hybrid store's
-    // bytes are always fresh, so the bypass-cache flag is moot here.
-    if let Some(resp) = serve_hybrid(shared, &req, version, want) {
-        return resp;
-    }
-
-    // Targeted cache-bypass re-fetch (v3, after a client-side checksum
-    // mismatch): the staged range for this key is suspect — drop it and
-    // answer straight from disk, so poisoned DataCache bytes are never
-    // served twice.
-    if req.bypass_cache() {
-        // Dropping the invalidated lease recycles its buffer once no
-        // in-flight transmit still pins it.
-        drop(shared.staged.invalidate(&key));
-        shared.stats.bypass_reads.fetch_add(1, Ordering::Relaxed);
-        shared
-            .options
-            .trace
-            .instant("integrity.bypass", Entity::mof(req.mof), req.offset, req.len);
-        let read = {
-            let _permit = shared.iosched.acquire(IoClass::Read);
-            let mut store = lock(&shared.store);
-            store.read_segment_range(req.mof, req.reducer, req.offset, req.len)
-        };
-        return match read {
-            Ok(Some(bytes)) => finish_ok(shared, &req, version, bytes),
-            Ok(None) => FetchResponse::error(req.id, Status::NotFound),
-            Err(_) => FetchResponse::error(req.id, Status::BadRequest),
-        };
-    }
-
-    // Whole-segment requests bypass staging.
-    if req.len == 0 {
-        let read = {
-            let _permit = shared.iosched.acquire(IoClass::Read);
-            let mut store = lock(&shared.store);
-            store.read_segment_range(req.mof, req.reducer, req.offset, 0)
-        };
-        return match read {
+    // Hybrid-held partitions, bypass re-fetches and whole segments
+    // never enter the DataCache or the disk thread's queue.
+    if route_direct(shared, &req) {
+        let read = ReadFor::Request(req.len);
+        return match read_segment(shared, req.mof, req.reducer, req.offset, read) {
             Ok(Some(bytes)) => finish_ok(shared, &req, version, bytes),
             Ok(None) => FetchResponse::error(req.id, Status::NotFound),
             Err(_) => FetchResponse::error(req.id, Status::BadRequest),
@@ -1322,19 +1222,7 @@ fn serve(shared: &Shared, req: FetchRequest, version: WireVersion) -> FetchRespo
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
         if shared.options.prefetch {
             if let Some(next) = hit.stage_next {
-                let queued = shared.prefetch.push(StageJob {
-                    mof: req.mof,
-                    reducer: req.reducer,
-                    offset: next,
-                    want: 0,
-                    reply: Reply::None,
-                });
-                if queued.is_ok() {
-                    shared
-                        .options
-                        .trace
-                        .instant("prefetch.queue", Entity::mof(req.mof), next, 0);
-                }
+                queue_run_ahead(shared, req.mof, req.reducer, next);
             }
         }
         return finish_ok(shared, &req, version, payload);
@@ -1808,6 +1696,53 @@ mod tests {
         chunk.write_versioned(&mut w, WireVersion::V3).unwrap();
         assert_eq!(FetchResponse::read_from(&mut r).unwrap().payload, truth);
         server.shutdown();
+    }
+
+    #[test]
+    fn bypass_refetch_is_clamped_to_one_buffer() {
+        let buffer = 4u64 << 10;
+        for threaded in [false, true] {
+            let recs: Vec<Record> = (0..2000)
+                .map(|i| (format!("k{i:05}").into_bytes(), vec![0x5A; 64]))
+                .collect();
+            let server = MofSupplierServer::start_with_options(
+                store_with_one_mof(recs),
+                ServerOptions {
+                    buffer_bytes: buffer,
+                    threaded,
+                    ..ServerOptions::default()
+                },
+            )
+            .unwrap();
+            let (mut r, mut w) = connect(server.addr());
+            FetchRequest::whole_segment(0, 0)
+                .write_versioned(&mut w, WireVersion::V3)
+                .unwrap();
+            let whole = FetchResponse::read_from(&mut r).unwrap();
+            assert!(whole.payload.len() as u64 > 4 * buffer, "segment spans the ask");
+            // A peer asks a bypass re-fetch for four buffers at once.
+            FetchRequest {
+                id: 2,
+                mof: 0,
+                reducer: 0,
+                offset: 100,
+                len: 4 * buffer,
+                flags: FLAG_BYPASS_CACHE,
+            }
+            .write_versioned(&mut w, WireVersion::V3)
+            .unwrap();
+            let resp = FetchResponse::read_from(&mut r).unwrap();
+            assert_eq!(resp.status, Status::OkCrc, "threaded={threaded}");
+            assert!(resp.crc_ok());
+            assert_eq!(resp.seg_len, whole.payload.len() as u64);
+            assert_eq!(
+                resp.payload,
+                whole.payload[100..100 + buffer as usize],
+                "threaded={threaded}: at most one buffer, byte-exact"
+            );
+            assert_eq!(server.stats_snapshot().bypass_reads, 1);
+            server.shutdown();
+        }
     }
 
     #[test]

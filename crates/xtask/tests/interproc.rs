@@ -11,10 +11,10 @@
 //!    callback acquires `stats` — so `conn -> stats` is a real edge,
 //!    carried through a callback parameter across crate-internal
 //!    function boundaries.
-//! 2. The supplier staging path's `read_ahead` acquires `store`; every
-//!    caller (the stage-job worker, the serve path) therefore holds
-//!    `store` transitively even though no `lock(&…store)` appears in
-//!    its own body.
+//! 2. The supplier's DataCache (`StageCache`) acquires `staged` inside
+//!    its own methods; every staging-path caller (the stage-job worker,
+//!    the serve path) therefore holds `staged` transitively even though
+//!    no `lock(&…staged)` appears in its own body.
 
 use std::path::Path;
 use xtask::policy::Policy;
@@ -59,23 +59,22 @@ fn rediscovers_conn_to_stats_callback_edge() {
 }
 
 #[test]
-fn rediscovers_read_ahead_store_acquisition_in_callers() {
+fn rediscovers_stage_cache_acquisition_in_callers() {
     let a = live_analysis();
-    // `read_ahead` itself acquires `store` directly…
-    let ra = a
+    // `StageCache::covers` itself acquires `staged` directly…
+    let covers = a
         .transitive_acquires
         .iter()
-        .find(|(f, _)| f.ends_with("read_ahead"))
-        .unwrap_or_else(|| panic!("read_ahead analyzed: {:?}", a.transitive_acquires.keys()));
+        .find(|(f, _)| f.ends_with("StageCache::covers"))
+        .unwrap_or_else(|| panic!("StageCache::covers analyzed: {:?}", a.transitive_acquires.keys()));
     assert!(
-        ra.1.contains_key("store"),
-        "read_ahead acquires store: {:?}",
-        ra.1.keys()
+        covers.1.contains_key("staged"),
+        "StageCache::covers acquires staged: {:?}",
+        covers.1.keys()
     );
-    // …and both staging-path callers inherit the acquisition. The
-    // stage-job worker's own body never mentions the store lock, so
-    // its witness chain MUST pass through `read_ahead`; the serve path
-    // also locks the store directly, so only membership is asserted.
+    // …and both staging-path callers inherit the acquisition. Neither
+    // body mentions the `staged` lock, so each witness chain MUST pass
+    // through a `StageCache` method.
     for caller in ["run_stage_job", "serve"] {
         let (name, acquires) = a
             .transitive_acquires
@@ -83,14 +82,12 @@ fn rediscovers_read_ahead_store_acquisition_in_callers() {
             .find(|(f, _)| f.as_str() == caller || f.ends_with(&format!("::{caller}")))
             .unwrap_or_else(|| panic!("{caller} analyzed"));
         let chain = acquires
-            .get("store")
-            .unwrap_or_else(|| panic!("{name} transitively acquires store: {:?}", acquires.keys()));
-        if caller == "run_stage_job" {
-            assert!(
-                chain.iter().any(|frame| frame.contains("read_ahead")),
-                "{name}'s witness chain passes through read_ahead: {chain:?}"
-            );
-        }
+            .get("staged")
+            .unwrap_or_else(|| panic!("{name} transitively acquires staged: {:?}", acquires.keys()));
+        assert!(
+            chain.iter().any(|frame| frame.contains("StageCache::")),
+            "{name}'s witness chain passes through StageCache: {chain:?}"
+        );
     }
 }
 
@@ -104,9 +101,9 @@ fn empty_lock_order_surfaces_discovered_edges_as_undocumented() {
     let a = live_analysis();
     let policy = Policy::parse("[policy]\nlock_order = []\n").expect("empty policy");
     let findings = xtask::lints::lockorder::check(&a.edges, &policy);
-    // `store` is deliberately absent: the live workspace never nests
-    // it (the staging path drops it before `staged`/`seg_lens`), so no
-    // edge can exist — the edge set above is the complete nesting map.
+    // The supplier's MOF store is absent: it is immutable and has no
+    // lock, so no edge can involve it — the edge set above is the
+    // complete nesting map.
     for lock in ["conn", "stats", "inner", "objects"] {
         assert!(
             findings
